@@ -7,11 +7,13 @@
 //! incremented and **all** minors reset, changing every child's effective
 //! value — which costs `n` re-encryptions (§II-A2).
 
-use super::bits::{get_bits, set_bits};
+use super::bits::{LineReader, LineWriter};
 use super::{
     CounterLine, IncrementOutcome, LineImage, OverflowEvent, OverflowKind, ReencryptSpan,
 };
 use crate::{CACHELINE_BITS, LINE_MAC_BITS};
+
+const MAC_OFFSET: usize = CACHELINE_BITS - LINE_MAC_BITS;
 
 /// Static shape of a split-counter line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,18 +123,27 @@ impl SplitLine {
     /// Decodes a line from its 64-byte image.
     #[must_use]
     pub fn decode(config: SplitConfig, image: &LineImage) -> Self {
+        let mut reader = LineReader::new(image);
         let mut line = SplitLine::new(config);
-        let mut bit = 0;
-        if config.major_bits > 0 {
-            line.major = get_bits(image, bit, config.major_bits as usize);
-            bit += config.major_bits as usize;
+        line.major = reader.take(config.major_bits as usize);
+        for minor in &mut line.minors {
+            *minor = reader.take(config.minor_bits as usize);
         }
-        for slot in 0..config.arity {
-            line.minors[slot] = get_bits(image, bit, config.minor_bits as usize);
-            bit += config.minor_bits as usize;
-        }
-        line.mac = get_bits(image, CACHELINE_BITS - LINE_MAC_BITS, LINE_MAC_BITS);
+        reader.skip_to(MAC_OFFSET);
+        line.mac = reader.take(LINE_MAC_BITS);
         line
+    }
+
+    /// Writes the major and minors, leaving the writer at the MAC field.
+    fn write_body(&self) -> LineWriter {
+        let mut writer = LineWriter::new();
+        // The SGX layout has no major field.
+        if self.config.major_bits > 0 {
+            writer.put(self.config.major_bits as usize, self.major);
+        }
+        writer.put_all(self.config.minor_bits as usize, self.minors.iter().copied());
+        writer.skip_to(MAC_OFFSET);
+        writer
     }
 }
 
@@ -178,28 +189,13 @@ impl CounterLine for SplitLine {
     }
 
     fn encode(&self) -> LineImage {
-        let mut image = self.encode_for_mac();
-        set_bits(
-            &mut image,
-            CACHELINE_BITS - LINE_MAC_BITS,
-            LINE_MAC_BITS,
-            self.mac,
-        );
-        image
+        let mut writer = self.write_body();
+        writer.put(LINE_MAC_BITS, self.mac);
+        writer.finish()
     }
 
     fn encode_for_mac(&self) -> LineImage {
-        let mut image = [0u8; crate::CACHELINE_BYTES];
-        let mut bit = 0;
-        if self.config.major_bits > 0 {
-            set_bits(&mut image, bit, self.config.major_bits as usize, self.major);
-            bit += self.config.major_bits as usize;
-        }
-        for &minor in &self.minors {
-            set_bits(&mut image, bit, self.config.minor_bits as usize, minor);
-            bit += self.config.minor_bits as usize;
-        }
-        image
+        self.write_body().finish()
     }
 }
 

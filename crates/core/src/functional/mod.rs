@@ -145,10 +145,10 @@ pub struct SecureMemory {
     /// Count of child re-encryptions performed due to counter overflows
     /// (observable cost, for tests and examples).
     reencryptions: u64,
-    /// Reusable scratch for the pre-increment counter snapshot in
-    /// [`SecureMemory::bump`]: one allocation for the memory's lifetime
-    /// instead of one per counter bump. A frame is always done with the
-    /// scratch before it recurses, so a single buffer suffices.
+    /// Reusable scratch for the pre-increment snapshot of a level-0 line's
+    /// counters in [`SecureMemory::bump`]: one allocation for the memory's
+    /// lifetime instead of one per counter bump. A frame is always done
+    /// with the scratch before it recurses, so a single buffer suffices.
     bump_scratch: Vec<u64>,
     /// Crypto-primitive invocation totals. In a `Cell` because the read /
     /// verification path is `&self` but still performs (and must count)
@@ -335,12 +335,15 @@ impl SecureMemory {
         let (line_idx, slot) = self.geometry.parent_of(level, child_idx);
         let arity = self.geometry.levels()[level].arity;
 
-        // Snapshot child counters in case an overflow changes them, reusing
-        // the memory-lifetime scratch buffer (taken out of `self` so the
-        // repair calls below can borrow `self` mutably).
+        // Snapshot the data children's counters in case an overflow
+        // changes them: re-encrypting a data child needs the counter its
+        // ciphertext was made under. A tree child is re-MAC'd under the new
+        // value alone, so upper levels skip the snapshot. The buffer is the
+        // memory-lifetime scratch (taken out of `self` so the repair calls
+        // below can borrow `self` mutably).
         let mut old_values = std::mem::take(&mut self.bump_scratch);
         old_values.clear();
-        {
+        if level == 0 {
             let line = self.line_or_new(level, line_idx);
             old_values.extend((0..arity).map(|s| line.get(s)));
         }

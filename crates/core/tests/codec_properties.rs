@@ -1,16 +1,23 @@
 //! Property coverage for the morphable-counter codec (the Fig 8/13
 //! layouts in `counters/morph/codec.rs`): encode→decode identity for
-//! randomly-driven ZCC, Uniform, and MCR lines, re-encode stability, and
-//! rejection of malformed bit patterns.
+//! randomly-driven ZCC, Uniform, and MCR lines, re-encode stability,
+//! rejection of malformed bit patterns, and agreement of the word-level
+//! field helpers with the per-bit reference oracle.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use morphtree_core::counters::bits::set_bits;
+use morphtree_core::counters::bits::{LineReader, LineWriter};
 use morphtree_core::counters::morph::{MorphFormat, MorphLine, MorphMode};
 use morphtree_core::counters::CounterLine;
 use morphtree_core::CodecError;
+
+/// The per-bit oracle the library's own unit tests use.
+#[path = "../src/counters/bits/reference.rs"]
+mod reference;
+
+use reference::set_bits;
 
 fn any_mode() -> impl Strategy<Value = MorphMode> {
     prop_oneof![
@@ -152,6 +159,38 @@ proptest! {
             MorphLine::decode(MorphMode::ZccRebase, &image),
             Err(CodecError::TooManyNonZero { nonzero: population }),
             "bit-vector population {} accepted", population
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `LineWriter::put` and `LineReader::take` write and read exactly the
+    /// bits the per-bit oracle does, for any field of the line.
+    #[test]
+    fn word_level_fields_match_the_per_bit_oracle(
+        background in any::<[u8; 64]>(),
+        width in 0usize..=64,
+        start in any::<usize>(),
+        value in any::<u64>(),
+    ) {
+        let bit = start % (512 - width + 1);
+        let value = if width == 64 { value } else { value & ((1 << width) - 1) };
+
+        let mut expected = [0u8; 64];
+        reference::set_bits(&mut expected, bit, width, value);
+        let mut writer = LineWriter::new();
+        writer.skip_to(bit);
+        writer.put(width, value);
+        prop_assert_eq!(writer.finish(), expected, "put bit {} width {}", bit, width);
+
+        let mut reader = LineReader::new(&background);
+        reader.skip_to(bit);
+        prop_assert_eq!(
+            reader.take(width),
+            reference::get_bits(&background, bit, width),
+            "take bit {} width {}", bit, width
         );
     }
 }
