@@ -45,8 +45,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use morphtree_bench::SplitMix64;
-use morphtree_core::concurrent::{Op, ShardedMemory};
+use morphtree_core::concurrent::{Op, ShardedMemory, SplitMix64};
 use morphtree_core::functional::SecureMemory;
 use morphtree_core::persist::{recover, recover_bounded, EpochMemory};
 use morphtree_core::counters::morph::{MorphLine, MorphMode};

@@ -1,7 +1,6 @@
 //! Address-range shard partitioning.
 
 use crate::error::ShardError;
-use crate::store::PagedStore;
 use crate::CACHELINE_BYTES;
 
 /// A partition of a protected address space into contiguous, equal-width
@@ -137,41 +136,6 @@ impl ShardPlan {
         debug_assert!(local < self.shard_lines(shard));
         self.shard_base(shard) + local
     }
-
-    /// Splits a global [`PagedStore`] into per-shard stores keyed by local
-    /// line index. Entries land in the shard that owns their index; the
-    /// inverse of [`ShardPlan::merge_stores`].
-    #[must_use]
-    pub fn split_store<T: Clone>(&self, store: &PagedStore<T>) -> Vec<PagedStore<T>> {
-        let mut parts: Vec<PagedStore<T>> =
-            (0..self.shards).map(|s| PagedStore::new(self.shard_lines(s))).collect();
-        for (line, value) in store.iter() {
-            if line >= self.data_lines {
-                continue; // entries beyond the plan belong to no shard
-            }
-            let shard = self.shard_of(line);
-            parts[shard].insert(self.local_line(line), value.clone());
-        }
-        parts
-    }
-
-    /// Merges per-shard stores back into one global store — the exact
-    /// serial contents, as the partition property suite proves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` does not have one store per shard.
-    #[must_use]
-    pub fn merge_stores<T: Clone>(&self, parts: &[PagedStore<T>]) -> PagedStore<T> {
-        assert_eq!(parts.len(), self.shards, "one store per shard required");
-        let mut merged = PagedStore::new(self.data_lines);
-        for (shard, part) in parts.iter().enumerate() {
-            for (local, value) in part.iter() {
-                merged.insert(self.global_line(shard, local), value.clone());
-            }
-        }
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -220,19 +184,5 @@ mod tests {
     fn routing_an_unplanned_address_is_loud() {
         let plan = ShardPlan::new(1 << 10, 2).unwrap();
         let _ = plan.shard_of(16);
-    }
-
-    #[test]
-    fn split_then_merge_is_identity() {
-        let plan = ShardPlan::new(1000 * 64, 7).unwrap();
-        let mut store: PagedStore<u64> = PagedStore::new(1000);
-        for line in (0..1000).step_by(13) {
-            store.insert(line, line * 3 + 1);
-        }
-        let parts = plan.split_store(&store);
-        let merged = plan.merge_stores(&parts);
-        let a: Vec<(u64, u64)> = store.iter().map(|(i, v)| (i, *v)).collect();
-        let b: Vec<(u64, u64)> = merged.iter().map(|(i, v)| (i, *v)).collect();
-        assert_eq!(a, b);
     }
 }

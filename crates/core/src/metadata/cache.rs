@@ -536,29 +536,6 @@ impl MetadataCache {
         }
     }
 
-    /// Marks a resident line dirty; returns whether it was resident.
-    pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        let base = self.set_index(addr) * self.ways;
-        if let Some(slot) = self.find(base, addr) {
-            self.dirty[slot] = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Removes `addr` if resident, returning its dirty bit.
-    pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let base = self.set_index(addr) * self.ways;
-        let slot = self.find(base, addr)?;
-        let was_dirty = self.dirty[slot];
-        self.tags[slot] = SENTINEL;
-        self.ticks[slot] = 0;
-        self.dirty[slot] = false;
-        self.priority[slot] = 0;
-        Some(was_dirty)
-    }
-
     /// Drops all contents and statistics.
     pub fn clear(&mut self) {
         self.tags.fill(SENTINEL);
@@ -573,48 +550,6 @@ impl MetadataCache {
     #[must_use]
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&tag| tag != SENTINEL).count()
-    }
-
-    // ------------------------------------------------------------------
-    // Persistence hooks (`crate::persist`): exact state export/import so a
-    // resumed engine replays byte-identically — ticks included, since LRU
-    // victim choice depends on them.
-    // ------------------------------------------------------------------
-
-    /// Victim-selection policy.
-    pub(crate) fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
-    /// Global tick counter plus every way's `(tag, tick, dirty, priority)`,
-    /// in slab order.
-    pub(crate) fn export_entries(&self) -> (u64, Vec<(u64, u64, bool, u8)>) {
-        let entries = (0..self.tags.len())
-            .map(|i| (self.tags[i], self.ticks[i], self.dirty[i], self.priority[i]))
-            .collect();
-        (self.tick, entries)
-    }
-
-    /// Restores [`MetadataCache::export_entries`] output; returns `false`
-    /// (leaving the cache untouched) when the entry count does not match
-    /// this cache's line count.
-    pub(crate) fn import_entries(&mut self, tick: u64, entries: &[(u64, u64, bool, u8)]) -> bool {
-        if entries.len() != self.tags.len() {
-            return false;
-        }
-        for (i, &(tag, t, d, p)) in entries.iter().enumerate() {
-            self.tags[i] = tag;
-            self.ticks[i] = t;
-            self.dirty[i] = d;
-            self.priority[i] = p;
-        }
-        self.tick = tick;
-        true
-    }
-
-    /// Overwrites the statistics (restored alongside the entries).
-    pub(crate) fn set_stats(&mut self, stats: CacheStats) {
-        self.stats = stats;
     }
 }
 
@@ -699,45 +634,6 @@ mod tests {
         // `a`'s dirty bit was ORed in.
         let victim = c.insert(addr_in_set(&c, 0, 3), false).unwrap();
         assert_eq!(victim, EvictedLine { addr: a, dirty: true, priority: 0 });
-    }
-
-    #[test]
-    fn mark_dirty_only_when_resident() {
-        let mut c = tiny();
-        let a = addr_in_set(&c, 0, 0);
-        assert!(!c.mark_dirty(a));
-        c.insert(a, false);
-        assert!(c.mark_dirty(a));
-        let b = addr_in_set(&c, 0, 1);
-        let d = addr_in_set(&c, 0, 2);
-        c.insert(b, false);
-        let victim = c.insert(d, false).unwrap();
-        assert!(victim.dirty);
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny();
-        let a = addr_in_set(&c, 1, 0);
-        c.insert(a, true);
-        assert_eq!(c.invalidate(a), Some(true));
-        assert!(!c.contains(a));
-        assert_eq!(c.invalidate(a), None);
-    }
-
-    #[test]
-    fn invalidate_then_insert_reuses_the_hole() {
-        let mut c = tiny();
-        let a = addr_in_set(&c, 0, 0);
-        let b = addr_in_set(&c, 0, 1);
-        let d = addr_in_set(&c, 0, 2);
-        c.insert(a, false);
-        c.insert(b, true);
-        assert_eq!(c.invalidate(a), Some(false));
-        assert!(c.contains(b), "the survivor stays resident");
-        // The freed way is reused without an eviction.
-        assert!(c.insert(d, false).is_none());
-        assert_eq!(c.occupancy(), 2);
     }
 
     #[test]

@@ -3,10 +3,7 @@
 
 use super::cache::{MetadataCache, ReplacementPolicy};
 use super::stats::{AccessCategory, EngineStats, MemAccess};
-use crate::counters::morph::MorphLine;
-use crate::counters::split::{SplitConfig, SplitLine};
-use crate::counters::{CounterLine, CounterOrg, IncrementOutcome, Line};
-use crate::error::CodecError;
+use crate::counters::{CounterLine, IncrementOutcome, Line};
 use crate::store::PagedStore;
 use crate::tree::{TreeConfig, TreeGeometry};
 use crate::CACHELINE_BYTES;
@@ -147,27 +144,6 @@ impl MetadataEngine {
         )
     }
 
-    /// Like [`MetadataEngine::new`] with an explicit verification mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid geometry or cache parameters.
-    #[must_use]
-    pub fn with_verification(
-        config: TreeConfig,
-        memory_bytes: u64,
-        cache_bytes: usize,
-        mac_mode: MacMode,
-        verification: VerificationMode,
-    ) -> Self {
-        Self::with_options(
-            config,
-            memory_bytes,
-            cache_bytes,
-            EngineOptions { mac_mode, verification, ..EngineOptions::default() },
-        )
-    }
-
     /// Like [`MetadataEngine::new`] with the full set of secondary knobs.
     ///
     /// # Panics
@@ -275,61 +251,6 @@ impl MetadataEngine {
         self.levels[level]
             .get(line_idx)
             .map_or(0, |line| line.get(slot))
-    }
-
-    // ------------------------------------------------------------------
-    // Persistence hooks (`crate::persist`): export/restore of the full
-    // engine state — counter lines, cache residency, statistics — so a
-    // resumed engine continues access-for-access identically.
-    // ------------------------------------------------------------------
-
-    /// MAC organization in use.
-    pub(crate) fn mac_mode(&self) -> MacMode {
-        self.mac_mode
-    }
-
-    /// Verification mode in use.
-    pub(crate) fn verification(&self) -> VerificationMode {
-        self.verification
-    }
-
-    /// The counter-line stores per level, for snapshot export.
-    pub(crate) fn level_stores(&self) -> &[PagedStore<Line>] {
-        &self.levels
-    }
-
-    /// Mutable cache access for residency restore.
-    pub(crate) fn cache_mut(&mut self) -> &mut MetadataCache {
-        &mut self.cache
-    }
-
-    /// Restores a counter line from its encoded image, decoding it under
-    /// the level's configured organization. The caller must have validated
-    /// `level` and `line_idx` against the geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] when the image is not a valid encoding for
-    /// the level's counter organization.
-    pub(crate) fn restore_line(
-        &mut self,
-        level: usize,
-        line_idx: u64,
-        image: &[u8; CACHELINE_BYTES],
-    ) -> Result<(), CodecError> {
-        let line = match self.config.org(level) {
-            CounterOrg::Split { arity } => {
-                Line::from(SplitLine::decode(SplitConfig::with_arity(arity), image))
-            }
-            CounterOrg::Morph(mode) => Line::from(MorphLine::decode(mode, image)?),
-        };
-        self.levels[level].insert(line_idx, line);
-        Ok(())
-    }
-
-    /// Overwrites the statistics (restored alongside the counter state).
-    pub(crate) fn set_stats(&mut self, stats: EngineStats) {
-        self.stats = stats;
     }
 
     /// A data read arriving at the memory controller (an LLC miss).

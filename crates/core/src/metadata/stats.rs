@@ -176,12 +176,6 @@ impl EngineStats {
         }
     }
 
-    /// Records an overflow at `level` with `used` of `arity` counters in
-    /// use.
-    pub fn record_overflow(&mut self, level: usize, used: usize, arity: usize) {
-        self.record_overflow_kind(level, used, arity, crate::counters::OverflowKind::FullReset);
-    }
-
     /// Records an overflow including its [`crate::counters::OverflowKind`].
     pub fn record_overflow_kind(
         &mut self,
@@ -314,6 +308,7 @@ impl EngineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::OverflowKind;
 
     #[test]
     fn category_for_level_matches_fig16_legend() {
@@ -341,8 +336,8 @@ mod tests {
     #[test]
     fn overflow_histogram_bins() {
         let mut s = EngineStats::new(2);
-        s.record_overflow(0, 64, 64); // fully used -> last bin
-        s.record_overflow(1, 1, 64); // sparse -> first bin
+        s.record_overflow_kind(0, 64, 64, OverflowKind::FullReset); // fully used -> last bin
+        s.record_overflow_kind(1, 1, 64, OverflowKind::FullReset); // sparse -> first bin
         assert_eq!(s.overflow_used_histogram[USED_FRACTION_BINS - 1], 1);
         assert_eq!(s.overflow_used_histogram[0], 1);
         assert_eq!(s.overflow_used_histogram_enc[USED_FRACTION_BINS - 1], 1);
@@ -355,7 +350,7 @@ mod tests {
     #[test]
     fn overflows_per_million() {
         let mut s = EngineStats::new(1);
-        s.record_overflow(0, 1, 64);
+        s.record_overflow_kind(0, 1, 64, OverflowKind::FullReset);
         for _ in 0..1000 {
             s.record(&MemAccess {
                 addr: 0,
@@ -405,7 +400,7 @@ mod tests {
         let mut b = EngineStats::new(4);
         a.data_reads = 1;
         b.data_writes = 2;
-        b.record_overflow(3, 10, 64);
+        b.record_overflow_kind(3, 10, 64, OverflowKind::FullReset);
         b.record_rebase(0);
         a.merge(&b);
         assert_eq!(a.data_accesses(), 3);

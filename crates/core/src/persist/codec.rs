@@ -7,6 +7,8 @@
 //! platform-dependent sizes. Floats are stored as raw IEEE-754 bit
 //! patterns so a resumed run reproduces byte-identical figures.
 
+use super::RecoveryError;
+
 /// Offset-carrying truncation marker returned by [`ByteReader`] when the
 /// input ends before a field does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,6 +228,47 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// Wraps `payload` in the checkpoint envelope shared by the result
+/// (`MTSR`) and sweep (`MTLC`) checkpoints: `magic | version u32 |
+/// payload | fnv1a(payload) u64`.
+#[must_use]
+pub fn frame(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 16);
+    out.extend_from_slice(&magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out
+}
+
+/// Checks a [`frame`] envelope and returns its payload.
+///
+/// # Errors
+///
+/// Returns [`RecoveryError::BadMagic`], [`RecoveryError::UnsupportedVersion`],
+/// [`RecoveryError::Truncated`] when the header or checksum is cut short,
+/// or `ChecksumMismatch { section: 0 }` when the payload fails its checksum.
+pub fn unframe(bytes: &[u8], magic: [u8; 4], version: u32) -> Result<&[u8], RecoveryError> {
+    let mut r = ByteReader::new(bytes);
+    if r.bytes(4).map_err(|_| RecoveryError::BadMagic)? != magic {
+        return Err(RecoveryError::BadMagic);
+    }
+    let found = r.u32()?;
+    if found != version {
+        return Err(RecoveryError::UnsupportedVersion { version: found });
+    }
+    let remaining = r.remaining();
+    if remaining < 8 {
+        return Err(RecoveryError::Truncated { offset: r.offset() });
+    }
+    let payload = r.bytes(remaining - 8)?;
+    let stored = r.u64()?;
+    if fnv1a(payload) != stored {
+        return Err(RecoveryError::ChecksumMismatch { section: 0 });
+    }
+    Ok(payload)
 }
 
 #[cfg(test)]

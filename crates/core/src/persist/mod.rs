@@ -33,7 +33,7 @@
 //! the property the resumed-sweep determinism tests pin.
 //!
 //! The WAL format and its torn-write rules live in [`wal`]; the metadata
-//! (timing) engine has its own snapshot in [`engine`].
+//! statistics blocks that result checkpoints embed are in [`engine`].
 //!
 //! # Failure taxonomy
 //!
@@ -841,12 +841,6 @@ impl PersistentMemory {
     #[must_use]
     pub fn memory(&self) -> &SecureMemory {
         &self.inner
-    }
-
-    /// Unwraps the memory, discarding the log.
-    #[must_use]
-    pub fn into_memory(self) -> SecureMemory {
-        self.inner
     }
 
     /// The WAL bytes accumulated since the last checkpoint.

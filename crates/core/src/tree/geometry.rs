@@ -181,12 +181,6 @@ impl TreeGeometry {
         let arity = self.levels[level].arity as u64;
         (child_idx / arity, (child_idx % arity) as usize)
     }
-
-    /// Total metadata bytes (encryption counters + tree).
-    #[must_use]
-    pub fn metadata_bytes(&self) -> u64 {
-        self.enc_bytes() + self.tree_bytes()
-    }
 }
 
 #[cfg(test)]

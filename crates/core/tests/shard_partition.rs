@@ -1,13 +1,11 @@
 //! Property suite for the shard partition laws: a [`ShardPlan`] must be a
 //! *true partition* of the protected address space — every address maps
-//! to exactly one shard, shard ranges tile the space with no gap or
-//! overlap, and splitting a [`PagedStore`] by shard then merging the
-//! parts reconstructs the exact serial contents.
+//! to exactly one shard, and shard ranges tile the space with no gap or
+//! overlap.
 
 use proptest::prelude::*;
 
-use morphtree_core::concurrent::{ShardPlan, SplitMix64};
-use morphtree_core::store::PagedStore;
+use morphtree_core::concurrent::ShardPlan;
 
 /// Derives a valid `(memory_bytes, shards)` pair from two raw seeds:
 /// 1..=4096 lines, 1..=min(lines, 64) shards.
@@ -62,45 +60,6 @@ proptest! {
             next += plan.shard_lines(shard);
         }
         prop_assert_eq!(next, plan.data_lines());
-    }
-
-    /// Split-then-merge reconstructs the exact serial `PagedStore`
-    /// contents: same populated indices, same values, in the same
-    /// index-iteration order.
-    #[test]
-    fn split_then_merge_reconstructs_serial_contents(
-        size_sel in any::<u64>(),
-        shard_sel in any::<u64>(),
-        fill_seed in any::<u64>(),
-    ) {
-        let plan = arb_plan(size_sel, shard_sel);
-        let mut store: PagedStore<u64> = PagedStore::new(plan.data_lines());
-        let mut rng = SplitMix64::new(fill_seed);
-        // Populate a pseudo-random ~half of the space.
-        for line in 0..plan.data_lines() {
-            if rng.below(2) == 0 {
-                store.insert(line, rng.next_u64());
-            }
-        }
-
-        let parts = plan.split_store(&store);
-        prop_assert_eq!(parts.len(), plan.shards());
-        // Entry conservation: every entry lands in exactly one part.
-        let total: u64 = parts.iter().map(PagedStore::len).sum();
-        prop_assert_eq!(total, store.len());
-        // Each part holds exactly its shard's entries, locally indexed.
-        for (shard, part) in parts.iter().enumerate() {
-            for (local, value) in part.iter() {
-                let global = plan.global_line(shard, local);
-                prop_assert_eq!(plan.shard_of(global), shard);
-                prop_assert_eq!(store.get(global), Some(value));
-            }
-        }
-
-        let merged = plan.merge_stores(&parts);
-        let original: Vec<(u64, u64)> = store.iter().map(|(i, v)| (i, *v)).collect();
-        let rebuilt: Vec<(u64, u64)> = merged.iter().map(|(i, v)| (i, *v)).collect();
-        prop_assert_eq!(original, rebuilt, "merge is not the exact serial contents");
     }
 }
 

@@ -3,8 +3,8 @@
 //! re-simulating — and, because figure renderers are pure functions of
 //! the memo, a resumed sweep renders byte-identical reports.
 //!
-//! Layout: `b"MTLC"` magic, `u32` version, payload, trailing FNV-1a-64
-//! checksum. The payload opens with the operating-point fingerprint
+//! Layout: the `frame` envelope with magic `b"MTLC"` (magic, `u32`
+//! version, payload, trailing FNV-1a-64 checksum). The payload opens with the operating-point fingerprint
 //! (scale, warm-up, measure window, seed): a checkpoint taken at one
 //! operating point must never seed a sweep at another, so a mismatch is
 //! the typed [`CheckpointError::SetupMismatch`], not a silent blend.
@@ -20,7 +20,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use morphtree_core::metadata::{MacMode, ReplacementPolicy, VerificationMode};
-use morphtree_core::persist::codec::{fnv1a, ByteReader, ByteWriter};
+use morphtree_core::persist::codec::{frame, unframe, ByteReader, ByteWriter};
 use morphtree_core::persist::engine::{read_stats, write_stats};
 use morphtree_core::persist::RecoveryError;
 use morphtree_sim::persist::{read_result, write_result};
@@ -153,13 +153,7 @@ pub fn checkpoint_bytes(lab: &Lab) -> Vec<u8> {
         write_stats(&mut w, &lab.engine_results()[key]);
     }
 
-    let payload = w.into_bytes();
-    let mut out = Vec::with_capacity(payload.len() + 16);
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out
+    frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &w.into_bytes())
 }
 
 fn read_count(r: &mut ByteReader<'_>) -> Result<usize, RecoveryError> {
@@ -180,30 +174,7 @@ fn read_count(r: &mut ByteReader<'_>) -> Result<usize, RecoveryError> {
 /// operating-point mismatch; the lab is only modified when the whole
 /// image parses.
 pub fn restore_into(lab: &mut Lab, bytes: &[u8]) -> Result<(usize, usize), CheckpointError> {
-    let mut r = ByteReader::new(bytes);
-    if r.bytes(4).map_err(|_| RecoveryError::BadMagic)? != CHECKPOINT_MAGIC {
-        return Err(RecoveryError::BadMagic.into());
-    }
-    let version = r.u32().map_err(RecoveryError::from)?;
-    if version != CHECKPOINT_VERSION {
-        return Err(RecoveryError::UnsupportedVersion { version }.into());
-    }
-    let remaining = r.remaining();
-    if remaining < 8 {
-        return Err(RecoveryError::Truncated { offset: r.offset() }.into());
-    }
-    let payload = r.bytes(remaining - 8).map_err(RecoveryError::from)?;
-    let stored = u64::from_le_bytes(
-        r.bytes(8)
-            .map_err(RecoveryError::from)?
-            .try_into()
-            .map_err(|_| RecoveryError::BadMagic)?,
-    );
-    if fnv1a(payload) != stored {
-        return Err(RecoveryError::ChecksumMismatch { section: 0 }.into());
-    }
-
-    let mut p = ByteReader::new(payload);
+    let mut p = ByteReader::new(unframe(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?);
     let file_fingerprint = p.str().map_err(RecoveryError::from)?.to_owned();
     let current = fingerprint(lab.setup());
     if file_fingerprint != current {

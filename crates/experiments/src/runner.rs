@@ -549,11 +549,6 @@ impl Lab {
         &self.timeline
     }
 
-    /// Drains the span trace (the CLI exports it once per invocation).
-    pub fn take_timeline(&mut self) -> Timeline {
-        std::mem::take(&mut self.timeline)
-    }
-
     /// The operating point.
     #[must_use]
     pub fn setup(&self) -> &Setup {
@@ -1050,10 +1045,6 @@ mod tests {
         let count = lab.timeline().len();
         let _ = lab.result("libquantum", None);
         assert_eq!(lab.timeline().len(), count, "memoized runs add no spans");
-
-        let drained = lab.take_timeline();
-        assert!(!drained.is_empty());
-        assert!(lab.timeline().is_empty());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! binary encoding of [`SimResult`] batches, so interrupted sweeps can
 //! resume without re-simulating and render byte-identical figures.
 //!
-//! Layout: `b"MTSR"` magic, `u32` version, payload, trailing FNV-1a-64
-//! checksum of the payload. The payload is a fingerprint string (the
+//! Layout: the [`frame`] envelope with magic `b"MTSR"` (magic, `u32`
+//! version, payload, trailing FNV-1a-64 checksum of the payload). The payload is a fingerprint string (the
 //! caller's encoding of the operating point — resuming under different
 //! flags must be refused, not silently blended) followed by the result
 //! records. Individual results are serialized field-exactly with
@@ -11,7 +11,7 @@
 //! and its typed [`RecoveryError`] taxonomy: every malformed input maps
 //! to an error, never a panic.
 
-use morphtree_core::persist::codec::{fnv1a, ByteReader, ByteWriter};
+use morphtree_core::persist::codec::{frame, unframe, ByteReader, ByteWriter};
 use morphtree_core::persist::engine::{
     read_cache_stats, read_histogram, read_stats, write_cache_stats, write_histogram,
     write_stats,
@@ -97,13 +97,7 @@ pub fn save_results(fingerprint: &str, results: &[SimResult]) -> Vec<u8> {
     for result in results {
         write_result(&mut w, result);
     }
-    let payload = w.into_bytes();
-    let mut out = Vec::with_capacity(payload.len() + 16);
-    out.extend_from_slice(&RESULT_MAGIC);
-    out.extend_from_slice(&RESULT_VERSION.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out
+    frame(RESULT_MAGIC, RESULT_VERSION, &w.into_bytes())
 }
 
 /// Loads a [`save_results`] checkpoint, returning the fingerprint and the
@@ -114,26 +108,7 @@ pub fn save_results(fingerprint: &str, results: &[SimResult]) -> Vec<u8> {
 /// Returns a [`RecoveryError`] on bad magic/version, truncation, checksum
 /// mismatch, a corrupt count, or trailing garbage.
 pub fn load_results(bytes: &[u8]) -> Result<(String, Vec<SimResult>), RecoveryError> {
-    let mut r = ByteReader::new(bytes);
-    if r.bytes(4).map_err(|_| RecoveryError::BadMagic)? != RESULT_MAGIC {
-        return Err(RecoveryError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != RESULT_VERSION {
-        return Err(RecoveryError::UnsupportedVersion { version });
-    }
-    let remaining = r.remaining();
-    if remaining < 8 {
-        return Err(RecoveryError::Truncated { offset: r.offset() });
-    }
-    let payload = r.bytes(remaining - 8)?;
-    let stored = u64::from_le_bytes(
-        r.bytes(8)?.try_into().map_err(|_| RecoveryError::BadMagic)?,
-    );
-    if fnv1a(payload) != stored {
-        return Err(RecoveryError::ChecksumMismatch { section: 0 });
-    }
-    let mut p = ByteReader::new(payload);
+    let mut p = ByteReader::new(unframe(bytes, RESULT_MAGIC, RESULT_VERSION)?);
     let fingerprint = p.str()?.to_owned();
     let offset = p.offset();
     let count = p.u32()? as usize;
@@ -221,5 +196,41 @@ mod tests {
                 "cut {cut}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn histogram_count_must_match_its_buckets() {
+        // The checksum is FNV, not a MAC: a crafted file can carry a
+        // histogram whose buckets overflow the cumulative walk in
+        // `Histogram::percentile`. Such a file must be refused on load.
+        let result = quick_results().remove(1);
+        let mut bytes = save_results("fp", std::slice::from_ref(&result));
+
+        // Offset of `dram.read_latency` inside the framed image.
+        let mut prefix = ByteWriter::new();
+        prefix.str("fp");
+        prefix.u32(1);
+        prefix.str(&result.workload);
+        prefix.str(&result.config);
+        prefix.u64(result.instructions);
+        prefix.u64(result.cycles);
+        write_stats(&mut prefix, &result.engine);
+        write_cache_stats(&mut prefix, &result.cache);
+        let histogram = 8 + prefix.len() + 5 * 8;
+
+        let mut patch = |offset: usize, value: u64| {
+            bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        };
+        patch(histogram, (1 << 63) + 1);
+        patch(histogram + 8, (1 << 63) + 1);
+        patch(histogram + morphtree_core::obs::NUM_BUCKETS * 8, u64::MAX);
+        let end = bytes.len() - 8;
+        let checksum = morphtree_core::persist::codec::fnv1a(&bytes[8..end]);
+        bytes[end..].copy_from_slice(&checksum.to_le_bytes());
+
+        assert_eq!(
+            load_results(&bytes).unwrap_err(),
+            RecoveryError::CorruptSnapshot { offset: histogram - 8 }
+        );
     }
 }

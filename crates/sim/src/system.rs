@@ -97,13 +97,6 @@ impl SimResult {
         self.instructions as f64 / self.cycles as f64
     }
 
-    /// Performance relative to `baseline` (> 1 is a speedup), comparing
-    /// equal instruction counts by inverse cycles.
-    #[must_use]
-    pub fn speedup_vs(&self, baseline: &SimResult) -> f64 {
-        self.ipc() / baseline.ipc()
-    }
-
     /// Memory accesses per data access (Fig 5b/16's y-axis).
     #[must_use]
     pub fn traffic_per_data_access(&self) -> f64 {
